@@ -19,13 +19,6 @@
 //! for the big sweep, and a dedicated test covers all four points at a
 //! reduced schedule count. Replay = same seed + same `LG_FILTER_MATRIX`.
 //!
-//! Worker matrix: the parallel window engine (`DynamicSimConfig::workers`)
-//! must be byte-identical to the sequential oracle in *both* out-queue
-//! shapes. `LG_WORKER_MATRIX` selects the worker count the big sweep
-//! compares against the oracle (default 2), and a dedicated test covers
-//! {2, 4, 8} with thread spawning forced on. Replay = seed +
-//! `LG_FILTER_MATRIX` + `LG_WORKER_MATRIX`.
-//!
 //! Prefix pool: schedules select from `LG_PREFIX_COUNT` prefixes
 //! (default 2, including a covering/covered pair), and every dump spans
 //! the whole pool. The subject side additionally runs with multi-prefix
@@ -42,7 +35,7 @@ use lifeguard_repro::sim::{DynamicSim, DynamicSimConfig, OutQueue, Time, UpdateR
 use lifeguard_repro::workloads::churn::{
     churn_network, generate_ops, ChurnConfig, ChurnRunner, ChurnWorld,
 };
-use lifeguard_repro::workloads::{FilterMatrix, WorkerMatrix};
+use lifeguard_repro::workloads::FilterMatrix;
 
 /// Schedules per sweep. CI runs the sweep three times (two fixed bases,
 /// one random), so the per-run count stays modest while total coverage
@@ -71,24 +64,19 @@ fn schedule_seed(base: u64, i: u64) -> u64 {
 
 /// Engine config derived from the seed: sweep MRAI base and jitter so the
 /// differential covers short and long shadows, with and without jitter.
-/// `workers > 1` engages the parallel window engine with thread spawning
-/// forced on (`parallel_spawn_min: 0`) so even small windows cross real
-/// thread boundaries.
-fn config_for(seed: u64, out_queue: OutQueue, workers: usize, pack: bool) -> DynamicSimConfig {
+fn config_for(seed: u64, out_queue: OutQueue, pack: bool) -> DynamicSimConfig {
     DynamicSimConfig {
         mrai_ms: [5_000, 15_000, 30_000][(seed % 3) as usize],
         mrai_jitter: seed.is_multiple_of(2),
         proc_delay_ms: 1,
         out_queue,
-        workers,
-        parallel_spawn_min: 0,
         pack_updates: pack,
     }
 }
 
-/// Deterministic, ordered dump of one prefix's metrics — parallel runs
-/// must reproduce the sequential engine's per-AS measurement exactly,
-/// not just its logs and RIBs.
+/// Deterministic, ordered dump of one prefix's metrics — both out-queue
+/// shapes must reproduce the same per-AS measurement exactly, not just
+/// the same logs and RIBs.
 type MetricsDump = Vec<(AsId, u64, Time, Time, u64, Time, Time)>;
 
 /// Per-AS Loc-RIB selection: `(holder, Some((neighbor, path)))`.
@@ -133,13 +121,7 @@ fn dump_metrics(sim: &DynamicSim, prefix: Prefix) -> MetricsDump {
         .collect()
 }
 
-fn run_one(
-    seed: u64,
-    out_queue: OutQueue,
-    matrix: FilterMatrix,
-    workers: usize,
-    pack: bool,
-) -> Outcome {
+fn run_one(seed: u64, out_queue: OutQueue, matrix: FilterMatrix, pack: bool) -> Outcome {
     let mut net = churn_network(seed ^ 0xA5A5);
     matrix.apply(&mut net, seed);
     let world = ChurnWorld::new(&net);
@@ -149,7 +131,7 @@ fn run_one(
         advance_max_ms: 45_000,
     });
 
-    let mut sim = DynamicSim::new(&net, config_for(seed, out_queue, workers, pack));
+    let mut sim = DynamicSim::new(&net, config_for(seed, out_queue, pack));
     sim.record_updates(true);
     for p in &world.prefixes {
         sim.begin_epoch(*p);
@@ -276,55 +258,38 @@ fn assert_identical(tag: &str, got: &Outcome, oracle: &Outcome) {
     assert_eq!(got.metrics, oracle.metrics, "{tag}: per-AS metrics diverge");
 }
 
-fn diff_one(seed: u64, matrix: FilterMatrix, workers: usize) {
-    let tag = format!("seed {seed} matrix {} workers {workers}", matrix.label());
-    // Subject sides run with UPDATE packing on; the oracle runs unpacked.
-    // Packing is wire accounting only, so every comparison below must
-    // still be byte-identical — this sweep is the packed-vs-unpacked pin.
-    let ring = run_one(seed, OutQueue::Ring, matrix, 1, true);
-    let reference = run_one(seed, OutQueue::Reference, matrix, 1, false);
+/// Run one schedule through both out-queue shapes, assert them
+/// identical and the Ring log invariant-clean, and return the number of
+/// updates the schedule put on the wire.
+fn diff_one(seed: u64, matrix: FilterMatrix) -> usize {
+    let tag = format!("seed {seed} matrix {}", matrix.label());
+    // The subject runs with UPDATE packing on; the oracle runs unpacked.
+    // Packing is wire accounting only, so the comparison must still be
+    // byte-identical — this sweep is the packed-vs-unpacked pin.
+    let ring = run_one(seed, OutQueue::Ring, matrix, true);
+    let reference = run_one(seed, OutQueue::Reference, matrix, false);
     assert_identical(&format!("{tag} [ring vs reference]"), &ring, &reference);
-
-    // The parallel engine against the sequential oracle, in both
-    // out-queue shapes (the wheel-sharded collection path and the
-    // heap-fire path stress different window machinery).
-    if workers > 1 {
-        let ring_p = run_one(seed, OutQueue::Ring, matrix, workers, true);
-        assert_identical(&format!("{tag} [parallel ring vs oracle]"), &ring_p, &ring);
-        let ref_p = run_one(seed, OutQueue::Reference, matrix, workers, false);
-        assert_identical(
-            &format!("{tag} [parallel reference vs oracle]"),
-            &ref_p,
-            &reference,
-        );
-    }
-
     check_invariants(
         seed,
-        &config_for(seed, OutQueue::Ring, 1, true),
+        &config_for(seed, OutQueue::Ring, true),
         seed ^ 0xA5A5,
         &ring.log,
     );
+    ring.log.len()
 }
 
 #[test]
 fn ring_out_queue_matches_reference_across_randomized_churn() {
     let base = base_seed();
     let matrix = FilterMatrix::from_env().unwrap_or(FilterMatrix::None);
-    let workers = WorkerMatrix::from_env()
-        .unwrap_or(WorkerMatrix::W2)
-        .workers();
     println!(
-        "outqueue differential sweep: base seed {base} matrix {} workers {workers} \
-         (override with LG_CHURN_SEED / LG_FILTER_MATRIX / LG_WORKER_MATRIX)",
+        "outqueue differential sweep: base seed {base} matrix {} \
+         (override with LG_CHURN_SEED / LG_FILTER_MATRIX)",
         matrix.label()
     );
     let mut total_updates = 0usize;
     for i in 0..SCHEDULES {
-        let seed = schedule_seed(base, i);
-        let ring = run_one(seed, OutQueue::Ring, matrix, 1, true);
-        total_updates += ring.log.len();
-        diff_one(seed, matrix, workers);
+        total_updates += diff_one(schedule_seed(base, i), matrix);
     }
     // The sweep must actually exercise the machinery, not no-op through.
     assert!(
@@ -346,29 +311,7 @@ fn ring_out_queue_matches_reference_across_filter_matrix() {
             matrix.label()
         );
         for i in 0..40 {
-            diff_one(schedule_seed(base, i), matrix, 1);
-        }
-    }
-}
-
-#[test]
-fn parallel_engine_matches_sequential_across_worker_matrix() {
-    // Every parallel worker-matrix point at a reduced schedule count,
-    // with thread spawning forced on: the big sweep covers one point
-    // exhaustively (selected by LG_WORKER_MATRIX); this one guarantees
-    // {2, 4, 8} are all exercised on every run, including shard counts
-    // exceeding some topologies' per-chunk node counts.
-    let base = base_seed() ^ 0x60B5;
-    for wm in WorkerMatrix::ALL {
-        if wm.workers() == 1 {
-            continue;
-        }
-        println!(
-            "worker-matrix differential: workers {} base seed {base}",
-            wm.label()
-        );
-        for i in 0..40 {
-            diff_one(schedule_seed(base, i), FilterMatrix::None, wm.workers());
+            diff_one(schedule_seed(base, i), matrix);
         }
     }
 }

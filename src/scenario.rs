@@ -48,6 +48,31 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
+    /// Reject parameters the topology generator cannot build: a custom
+    /// hierarchy hangs every other AS below a tier-1 AS, and AS ids are
+    /// 32-bit. The presets always pass.
+    pub fn validate(&self) -> Result<(), ScenarioError> {
+        let TopologySpec::Custom {
+            tier1,
+            tier2,
+            tier3,
+            stubs,
+            ..
+        } = *self
+        else {
+            return Ok(());
+        };
+        if tier1 == 0 {
+            return Err(err("custom topology needs at least one tier-1 AS"));
+        }
+        [tier2, tier3, stubs]
+            .into_iter()
+            .try_fold(tier1, usize::checked_add)
+            .filter(|n| u32::try_from(*n).is_ok())
+            .map(|_| ())
+            .ok_or_else(|| err("custom topology has more ASes than 32-bit AS ids can name"))
+    }
+
     /// Materialize the generator config.
     pub fn to_config(&self) -> TopologyConfig {
         match *self {
@@ -239,6 +264,7 @@ fn resolve_picks(
 
 /// Execute a scenario.
 pub fn run(scenario: &Scenario) -> Result<RunOutcome, ScenarioError> {
+    scenario.topology.validate()?;
     let topo = scenario.topology.to_config();
     let net = Network::new(topo.generate());
     let mut taken = Vec::new();
@@ -383,13 +409,17 @@ fn parse_topology(v: &Value) -> Result<TopologySpec, ScenarioError> {
         "large" => Ok(TopologySpec::Large {
             seed: as_u64(field(body, "seed")?, "seed")?,
         }),
-        "custom" => Ok(TopologySpec::Custom {
-            tier1: as_usize(field(body, "tier1")?, "tier1")?,
-            tier2: as_usize(field(body, "tier2")?, "tier2")?,
-            tier3: as_usize(field(body, "tier3")?, "tier3")?,
-            stubs: as_usize(field(body, "stubs")?, "stubs")?,
-            seed: as_u64(field(body, "seed")?, "seed")?,
-        }),
+        "custom" => {
+            let spec = TopologySpec::Custom {
+                tier1: as_usize(field(body, "tier1")?, "tier1")?,
+                tier2: as_usize(field(body, "tier2")?, "tier2")?,
+                tier3: as_usize(field(body, "tier3")?, "tier3")?,
+                stubs: as_usize(field(body, "stubs")?, "stubs")?,
+                seed: as_u64(field(body, "seed")?, "seed")?,
+            };
+            spec.validate()?;
+            Ok(spec)
+        }
         other => Err(err(format!("unknown topology {other:?}"))),
     }
 }
@@ -626,6 +656,51 @@ mod tests {
         let out = run(&sc).unwrap();
         assert!(out.events.is_empty(), "no failures, no events");
         assert_eq!(out.downtime_ms[0].1, 0);
+    }
+
+    #[test]
+    fn custom_topology_preconditions_are_errors() {
+        let custom = |tier1: u64, stubs: u64| {
+            parse(&format!(
+                r#"{{
+                "topology": {{"custom": {{"tier1": {tier1}, "tier2": 3, "tier3": 5, "stubs": {stubs}, "seed": 3}}}},
+                "origin": "auto",
+                "targets": ["auto"],
+                "vantage_points": ["auto"],
+                "failures": [],
+                "duration_min": 5
+            }}"#
+            ))
+        };
+        let e = custom(0, 12).unwrap_err();
+        assert!(e.0.contains("tier-1"), "{e}");
+        assert!(custom(1, 12).is_ok());
+        // More ASes than 32-bit ids can name is rejected before anything
+        // is allocated.
+        assert!(custom(2, 1 << 32).is_err());
+        // A spec built in code is checked by `run` too.
+        let mut sc = parse(EXAMPLE).unwrap();
+        sc.topology = TopologySpec::Custom {
+            tier1: 0,
+            tier2: 3,
+            tier3: 5,
+            stubs: 12,
+            seed: 3,
+        };
+        assert!(run(&sc).is_err());
+        // Degenerate but buildable hierarchies end in a clean error or a
+        // run, never a panic.
+        for (tier1, tier2, tier3, stubs) in [(1, 0, 0, 0), (1, 0, 0, 6), (2, 0, 4, 0), (1, 1, 1, 1)]
+        {
+            sc.topology = TopologySpec::Custom {
+                tier1,
+                tier2,
+                tier3,
+                stubs,
+                seed: 3,
+            };
+            let _ = run(&sc);
+        }
     }
 
     #[test]
